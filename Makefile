@@ -16,7 +16,7 @@ DOCTEST_MODULES := src/repro/service \
 	src/repro/obs/trace.py \
 	src/repro/obs/windows.py
 
-.PHONY: test test-conformance bench-smoke docs-check perf-gate perf-gate-streaming perf-gate-shard perf-gate-problems perf-gate-kernel perf-gate-resilience perf-gate-obs perf-gate-serving perf-gate-all bench-serving bench-check serve-demo ci
+.PHONY: test test-conformance bench-smoke docs-check perf-gate perf-gate-streaming perf-gate-shard perf-gate-problems perf-gate-kernel perf-gate-resilience perf-gate-obs perf-gate-serving perf-gate-all bench-serving bench-check bench-trace-smoke serve-demo ci
 
 ## tier-1 suite plus the documented-API doctests
 test:
@@ -114,10 +114,26 @@ serve-demo:
 bench-check:
 	$(PYTHON) tools/bench_watch.py --suite all --run --scale 0.05 --repeats 1
 
+## traced repository benchmark smoke: the answer-check/tracer self-test, then
+## a 3 s traced run of each workload; run.py exits non-zero when an answer
+## check or the trace breaks (non-empty trace_problems: a declared span never
+## fired, or spans did not attach to their request across the executor hop)
+BENCH_WORKLOADS := batch-large analog-substrate services-mix
+bench-trace-smoke:
+	$(PYTHON) repobench/selftest.py
+	mkdir -p .bench_out
+	for workload in $(BENCH_WORKLOADS); do \
+		log=.bench_out/trace-smoke-$$workload.log; \
+		$(PYTHON) repobench/run.py --workload $$workload --seed 1 --seconds 3 --trace 1 > $$log \
+			&& grep -q '"trace_problems": \[\]' $$log \
+			|| { cat $$log; echo "bench-trace-smoke: $$workload failed"; exit 1; }; \
+		echo "bench-trace-smoke: $$workload ok"; \
+	done
+
 ## broken intra-doc links + docstring coverage of repro.service
 docs-check:
 	$(PYTHON) tools/docs_check.py
 
 ## the full local CI chain: tests + doctests, conformance gate, doc health,
-## benchmark smoke, perf-regression sentinel
-ci: test test-conformance docs-check bench-smoke bench-check
+## benchmark smoke, traced repository-benchmark smoke, perf-regression sentinel
+ci: test test-conformance docs-check bench-smoke bench-trace-smoke bench-check

@@ -10,9 +10,10 @@ reprogramming the same physical crossbar.
 from __future__ import annotations
 
 from repro.bench import format_table
-from repro.decomposition import DualDecompositionSolver, partition_with_overlap
+from repro.decomposition import DualDecompositionSolver
 from repro.flows import min_cut
 from repro.graph import grid_graph, rmat_graph
+from repro.shard import partition_multiway
 
 
 def _run_decomposition():
@@ -24,7 +25,7 @@ def _run_decomposition():
     rows = []
     for name, network in instances:
         exact = min_cut(network).cut_value
-        partition = partition_with_overlap(network)
+        partition = partition_multiway(network, 2)
         result = DualDecompositionSolver(max_iterations=60).solve(network)
         rows.append(
             {

@@ -1,11 +1,8 @@
 """Graph decomposition for very large instances (Section 6.4)."""
 
-from .partition import OverlappingPartition, partition_with_overlap
 from .dual_decomposition import DualDecompositionSolver, DualDecompositionResult
 
 __all__ = [
-    "OverlappingPartition",
-    "partition_with_overlap",
     "DualDecompositionSolver",
     "DualDecompositionResult",
 ]

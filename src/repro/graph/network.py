@@ -19,9 +19,19 @@ from ..errors import (
     VertexNotFoundError,
 )
 
-__all__ = ["Edge", "FlowNetwork"]
+__all__ = ["Edge", "FlowNetwork", "is_valid_capacity"]
 
 Vertex = Hashable
+
+
+def is_valid_capacity(capacity: float) -> bool:
+    """True for a non-negative capacity; NaN is rejected, ``inf`` allowed (§6.5).
+
+    The one boundary predicate shared by every capacity entry point
+    (:class:`Edge`, :meth:`FlowNetwork.add_edge`,
+    :meth:`FlowNetwork.set_capacity` and the streaming update log).
+    """
+    return capacity >= 0  # NaN compares False
 
 
 @dataclass(frozen=True)
@@ -46,9 +56,9 @@ class Edge:
     capacity: float
 
     def __post_init__(self) -> None:
-        if self.capacity < 0:
+        if not is_valid_capacity(self.capacity):
             raise InvalidGraphError(
-                f"edge {self.tail}->{self.head} has negative capacity {self.capacity}"
+                f"edge {self.tail}->{self.head} has invalid capacity {self.capacity}"
             )
 
     @property
@@ -107,9 +117,9 @@ class FlowNetwork:
         """
         if tail == head:
             raise InvalidGraphError(f"self-loop on vertex {tail!r} is not allowed")
-        if capacity < 0:
+        if not is_valid_capacity(capacity):
             raise InvalidGraphError(
-                f"edge {tail!r}->{head!r} has negative capacity {capacity}"
+                f"edge {tail!r}->{head!r} has invalid capacity {capacity}"
             )
         self.add_vertex(tail)
         self.add_vertex(head)
@@ -135,9 +145,9 @@ class FlowNetwork:
         (:class:`~repro.graph.updates.MutableFlowNetwork`) builds on.
         """
         old = self.edge(index)
-        if capacity < 0:
+        if not is_valid_capacity(capacity):
             raise InvalidGraphError(
-                f"edge {old.tail!r}->{old.head!r} has negative capacity {capacity}"
+                f"edge {old.tail!r}->{old.head!r} has invalid capacity {capacity}"
             )
         replacement = Edge(index, old.tail, old.head, float(capacity))
         self._edges[index] = replacement

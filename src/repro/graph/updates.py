@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Sequence, Tuple, Union
 
 from ..errors import EdgeNotFoundError, InvalidGraphError
-from .network import Edge, FlowNetwork
+from .network import Edge, FlowNetwork, is_valid_capacity
 
 __all__ = [
     "CapacityUpdate",
@@ -292,9 +292,9 @@ class MutableFlowNetwork:
                     raise InvalidGraphError(
                         f"self-loop insert on vertex {event.tail!r} is not allowed"
                     )
-                if event.capacity < 0:
+                if not is_valid_capacity(event.capacity):
                     raise InvalidGraphError(
-                        f"insert {event.tail!r}->{event.head!r} has negative "
+                        f"insert {event.tail!r}->{event.head!r} has invalid "
                         f"capacity {event.capacity}"
                     )
                 pending_inserts += 1
@@ -304,9 +304,11 @@ class MutableFlowNetwork:
                 raise EdgeNotFoundError(f"no edge with index {index}")
             if index in removed:
                 raise EdgeNotFoundError(f"edge {index} was removed earlier")
-            if isinstance(event, CapacityUpdate) and event.capacity < 0:
+            if isinstance(event, CapacityUpdate) and not is_valid_capacity(
+                event.capacity
+            ):
                 raise InvalidGraphError(
-                    f"edge {index} assigned negative capacity {event.capacity}"
+                    f"edge {index} assigned invalid capacity {event.capacity}"
                 )
             if isinstance(event, EdgeRemove):
                 removed.add(index)

@@ -8,8 +8,10 @@ backends::
     analog        →  kernel-dinic  →  dinic
     kernel-dinic  →  dinic
     dinic         →  push-relabel
-    shards=N      →  unsharded cold solve          (service/sharded.py)
-    warm repair   →  cold re-solve                 (flows/incremental.py)
+
+:func:`solve_with_failover` is the only walker of these chains; the
+services reach it through the batch service (the sharded service's
+unsharded fallback is one more failover-enabled batch solve).
 
 The crucial invariant is that **degradation can never silently return a
 wrong answer**: a fallback result is accepted only after
@@ -140,9 +142,10 @@ class FailoverPolicy:
         :func:`degradation_chain`.
     validate:
         Gate every accepted result through :func:`certify_flow_result`.
-        Primary *exact* backends skip the gate (their own invariants and the
-        differential fuzz suite cover them); analog results and every
-        fallback result are always validated when this is on.
+        Primary *exact* backends (``SolveBackend.exact``) skip the gate
+        (their own invariants and the differential fuzz suite cover them);
+        approximate results and every fallback result are always validated
+        when this is on, approximate ones at the substrate tolerance.
     breaker_window, breaker_threshold, breaker_cooldown_s:
         Rolling-window parameters for the per-backend circuit breakers.
     slo:
@@ -199,9 +202,13 @@ def solve_with_failover(
 ):
     """Solve ``request`` along its degradation chain, validating fallbacks.
 
-    ``make_backend(name)`` supplies a ready
-    :class:`~repro.service.backends.SolveBackend`; the caller (the batch
-    service) injects its shared analog solver and compiled-circuit cache.
+    This is the package's only degradation-chain walker: every service
+    reaches it through
+    :class:`~repro.service.batch.BatchSolveService`, which opens the
+    request's deadline around the whole walk.  ``make_backend(name)``
+    supplies a ready :class:`~repro.service.backends.SolveBackend`; the
+    batch service hands in its lazy backend memo, which shares its analog
+    solver and compiled-circuit cache.
 
     Returns a :class:`~repro.service.api.SolveResult`.  On success the
     result's request carries the backend that actually ran, ``degraded``
@@ -261,12 +268,12 @@ def solve_with_failover(
             result = backend.solve(staged)
             if result.ok:
                 try:
-                    if policy.validate and (stage > 0 or name == "analog"):
+                    if policy.validate and (stage > 0 or not backend.exact):
                         certify_flow_result(
                             staged.network,
                             result.flow_value,
                             result.edge_flows,
-                            exact=(name != "analog"),
+                            exact=backend.exact,
                         )
                 except ReproError as exc:
                     breaker.record_failure()

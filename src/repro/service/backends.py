@@ -48,9 +48,15 @@ class SolveBackend:
     Subclasses implement :meth:`_solve` returning ``(flow_value, edge_flows,
     detail, cache_hit)``; the base class handles timing, error capture and
     reference-error computation so every backend reports uniformly.
+
+    ``exact`` says whether an answer is a true maximum flow (classical
+    engines) or an approximation held to a tolerance (the analog
+    substrate).  Failover certifies approximate answers with the substrate
+    tolerance, and the problems layer decodes exact ones natively.
     """
 
     name = "abstract"
+    exact = True
 
     def solve(self, request: SolveRequest) -> SolveResult:
         """Solve ``request``, never raising: failures become ``ok=False`` results.
@@ -58,8 +64,10 @@ class SolveBackend:
         ``request.options["deadline_s"]`` opens a cooperative wall-clock
         budget around the solve (see :mod:`repro.resilience.policy`); an
         ambient deadline from an enclosing :func:`deadline_scope` stays in
-        force if it is tighter.  Failures carry ``error_type`` (the
-        exception class name) so callers can route on failure class.
+        force if it is tighter — as it always is under the batch service,
+        which opens the same budget once around the whole failover walk.
+        Failures carry ``error_type`` (the exception class name) so
+        callers can route on failure class.
 
         Every attempt (success or typed failure) records its wall time
         into the ``service.solve.seconds{backend=}`` histogram via
@@ -175,6 +183,7 @@ class AnalogBackend(SolveBackend):
     """
 
     name = "analog"
+    exact = False
 
     def __init__(
         self,
@@ -184,7 +193,8 @@ class AnalogBackend(SolveBackend):
         self.solver = solver if solver is not None else AnalogMaxFlowSolver()
         self.cache = cache
 
-    def _config_signature(self) -> str:
+    def config_signature(self) -> str:
+        """Solver configuration as a cache-key string (drive excluded)."""
         s = self.solver
         return repr(
             (
@@ -209,7 +219,7 @@ class AnalogBackend(SolveBackend):
         )
         if cacheable:
             drive = float(vflow_v) if vflow_v is not None else self.solver.parameters.vflow_v
-            key = (network_signature(request.network), self._config_signature(), drive)
+            key = (network_signature(request.network), self.config_signature(), drive)
             hit, compiled = self.cache.lookup(key)
             if not hit:
                 compiled = self.solver.compile(request.network, vflow_v=drive)
@@ -219,16 +229,16 @@ class AnalogBackend(SolveBackend):
                 compiled.mna()
                 self.cache.store(key, compiled)
             result = self.solver.solve_compiled(compiled)
-            return self._readout(result, hit)
+            return self.readout(result, hit)
         result = self.solver.solve(
             request.network,
             method=method,
             vflow_v=vflow_v,
             measure_convergence=bool(request.options.get("measure_convergence", False)),
         )
-        return self._readout(result, False)
+        return self.readout(result, False)
 
-    def _readout(self, result, cache_hit):
+    def readout(self, result, cache_hit):
         """Final readout, routed through the fault injector's corrupt hook.
 
         An injected corruption scales value and edge flows by the same

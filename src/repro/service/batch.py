@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, Optional, Union
 
 from dataclasses import replace
 
@@ -223,6 +223,7 @@ class BatchSolveService:
         elif failover is False:
             failover = None
         self.failover: Optional[FailoverPolicy] = failover
+        self._backends: Dict[str, SolveBackend] = {}
 
     # ------------------------------------------------------------------
 
@@ -236,46 +237,65 @@ class BatchSolveService:
             f"batch items must be SolveRequest or FlowNetwork, got {type(item).__name__}"
         )
 
-    def _backends_for(self, requests: List[SolveRequest]) -> Dict[str, SolveBackend]:
-        """One backend instance per distinct name; unknown names fail fast."""
-        return {
-            name: create_backend(name, analog_solver=self.analog_solver, cache=self.cache)
-            for name in {r.backend for r in requests}
-        }
+    def backend(self, name: str) -> SolveBackend:
+        """This service's backend for ``name``, created on first use.
 
-    def _backend_factory(self, seeded: Optional[Dict[str, SolveBackend]] = None):
-        """Lazy per-name backend maker for failover chains.
+        Every backend shares the service's analog solver and
+        compiled-circuit cache; failover fallbacks come from the same memo.
 
-        Fallback backends are not known up front (they come from the
-        degradation chain), so they are created on first use and memoized,
-        sharing the service's analog solver and compiled-circuit cache.
+        Raises
+        ------
+        AlgorithmError
+            For unknown backend names.
         """
-        created: Dict[str, SolveBackend] = dict(seeded or {})
+        backend = self._backends.get(name)
+        if backend is None:
+            # Two threads may both miss and create one; either instance
+            # serves, since backends hold no per-request state.
+            backend = create_backend(
+                name, analog_solver=self.analog_solver, cache=self.cache
+            )
+            self._backends[name] = backend
+        return backend
 
-        def make(name: str) -> SolveBackend:
-            backend = created.get(name)
-            if backend is None:
-                backend = create_backend(
-                    name, analog_solver=self.analog_solver, cache=self.cache
-                )
-                created[name] = backend
-            return backend
+    def _solve_one(self, request: SolveRequest) -> SolveResult:
+        """The one solve path: name check, deadline, chain walk or one call.
 
-        return make
+        The name is checked before anything runs, so a typo raises
+        :class:`~repro.errors.AlgorithmError` instead of being answered by
+        a fallback.  ``deadline_s`` opens one budget around the whole walk:
+        every stage and retry shares it (a tighter ambient deadline wins).
+        """
+        backend = self.backend(request.backend)
+        with deadline_scope(request.options.get("deadline_s"), label=request.backend):
+            if self.failover is not None:
+                return solve_with_failover(request, self.failover, self.backend)
+            return backend.solve(request)
 
     # ------------------------------------------------------------------
 
-    def solve(self, network: FlowNetwork, backend: str = "analog", **options: Any) -> SolveResult:
-        """Solve a single instance (sugar for a one-request batch).
+    def solve(
+        self,
+        network: FlowNetwork,
+        backend: str = "analog",
+        tag: Optional[str] = None,
+        **options: Any,
+    ) -> SolveResult:
+        """Solve a single instance.
 
         Parameters
         ----------
         network:
             The instance to solve.
         backend:
-            Registered backend name.
+            Registered backend name; an unknown name raises
+            :class:`~repro.errors.AlgorithmError`, with or without failover.
+        tag:
+            Free-form label echoed back in ``result.request.tag``.
         **options:
-            Backend-specific options (see :class:`SolveRequest`).
+            Backend-specific options (see :class:`SolveRequest`).  A
+            ``deadline_s`` budget covers the whole solve, including every
+            failover stage and retry.
 
         Examples
         --------
@@ -283,14 +303,13 @@ class BatchSolveService:
         >>> from repro.service import BatchSolveService
         >>> g = FlowNetwork()
         >>> _ = g.add_edge("s", "t", 1.5)
-        >>> round(BatchSolveService().solve(g, backend="push-relabel").flow_value, 2)
-        1.5
+        >>> result = BatchSolveService().solve(g, backend="push-relabel", tag="one")
+        >>> round(result.flow_value, 2), result.request.tag
+        (1.5, 'one')
         """
-        request = SolveRequest(network=network, backend=backend, options=dict(options))
-        if self.failover is not None:
-            return solve_with_failover(request, self.failover, self._backend_factory())
-        backend_obj = create_backend(backend, analog_solver=self.analog_solver, cache=self.cache)
-        return backend_obj.solve(request)
+        return self._solve_one(
+            SolveRequest(network=network, backend=backend, options=dict(options), tag=tag)
+        )
 
     def solve_batch(
         self,
@@ -336,7 +355,8 @@ class BatchSolveService:
             )
         if deadline is not None and not isinstance(deadline, Deadline):
             deadline = Deadline(float(deadline), label="batch")
-        backends = self._backends_for(reqs)
+        for name in {r.backend for r in reqs}:
+            self.backend(name)  # unknown names fail the batch before it runs
 
         with span(
             "batch.solve", executor=self.executor, requests=len(reqs)
@@ -360,13 +380,10 @@ class BatchSolveService:
                 if self.failover is not None:
                     # Chains re-run in the parent: the policy's breakers and
                     # the compiled-circuit cache are not shared with workers.
-                    make = self._backend_factory(backends)
-                    results = [
-                        r
-                        if r.ok
-                        else solve_with_failover(r.request, self.failover, make)
-                        for r in results
-                    ]
+                    with deadline_scope(deadline):
+                        results = [
+                            r if r.ok else self._solve_one(r.request) for r in results
+                        ]
                 # Worker processes cannot attach to this trace tree (nor
                 # reach this registry), so their returned timings become
                 # post-hoc child spans and counters on the parent side —
@@ -388,8 +405,6 @@ class BatchSolveService:
                 # Inline execution (serial, threads, or a degenerate process
                 # pool that would run one task at a time anyway) keeps the
                 # shared backend instances and their compiled-circuit cache.
-                failover = self.failover
-                make = self._backend_factory(backends) if failover is not None else None
                 parent_span = current_span()
 
                 def run(r: SolveRequest) -> SolveResult:
@@ -398,9 +413,7 @@ class BatchSolveService:
                     # expiry, the parent span was captured at dispatch, and
                     # context variables do not propagate into pool threads.
                     with span_scope(parent_span), deadline_scope(deadline):
-                        if failover is not None:
-                            return solve_with_failover(r, failover, make)
-                        return backends[r.backend].solve(r)
+                        return self._solve_one(r)
 
                 results = pool.map(run, reqs, describe=_describe_request)
             batch_span.set(

@@ -19,8 +19,9 @@ Decode routing
 --------------
 Backends differ in what they can hand the decoder:
 
-* **classical** backends return an exact integral max flow — the decode
-  reads it (and the min cut extracted from it) directly;
+* **exact** backends (``SolveBackend.exact``: the classical engines)
+  return an integral max flow — the decode reads it (and the min cut
+  extracted from it) directly;
 * the **analog** backend returns an approximate flow, so the decode runs a
   *decode pass* (one exact Dinic solve of the already-built reduction) and
   the analog value is cross-checked against the certified value to the
@@ -33,23 +34,26 @@ Backends differ in what they can hand the decoder:
 If a backend-faithful decode fails its certificate, the service retries
 once through the decode pass, so a returned solution is certified whenever
 the reduction itself is sound; the report's ``decode_source`` says which
-path produced it.
+path produced it.  Flat solves go through
+:meth:`~repro.service.batch.BatchSolveService.solve` (one request) or
+:meth:`~repro.service.batch.BatchSolveService.solve_batch`, so deadlines,
+SLO skips and degradation behave exactly as they do for the batch service;
+:meth:`ProblemSolveService.solve` and :meth:`ProblemSolveService.solve_batch`
+share one decode/certify/report step.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..errors import CertificateError, ProblemError, SolveTimeoutError
 from ..flows.dinic import Dinic
 from ..flows.mincut import MinCutResult, min_cut_from_flow
-from ..flows.registry import ALGORITHMS
-from ..graph.network import FlowNetwork
 from ..obs.trace import annotate_span, span
-from ..problems.base import CertificateReport, Problem, Reduction, Solution
-from ..resilience.failover import degradation_chain
+from ..problems.base import Problem, Reduction, Solution
+from ..resilience.failover import FailoverPolicy
 from ..resilience.policy import Deadline, RetryPolicy, deadline_scope
 from .api import SolveRequest, SolveResult, relative_error
 
@@ -199,7 +203,8 @@ class ProblemSolveService:
     ----------
     batch_service:
         :class:`~repro.service.batch.BatchSolveService` used for classical
-        and analog solves.  When omitted, one is created with an
+        and analog solves; its own failover policy governs how a failing
+        backend degrades.  When omitted, one is created with an
         unquantized adaptive-drive analog solver — the certificate-grade
         analog configuration (quantization error would otherwise dominate
         the cross-check tolerance).
@@ -216,14 +221,17 @@ class ProblemSolveService:
         instead of losing the whole problem solve); two zero-delay attempts
         by default.
     failover:
-        When a *known* backend fails at solve time, walk its
-        :func:`~repro.resilience.failover.degradation_chain` (e.g.
-        ``analog -> kernel-dinic -> dinic``) and accept the first
-        fallback whose answer survives the decode + certificate machinery;
-        the result is marked ``degraded`` with a ``failover_trail``.
-        Unknown backend names and timeouts still fail fast, and the
-        sharded path keeps its own unsharded fallback.  ``False``
-        restores strict fail-fast behaviour.
+        Applies to the default batch service only (an injected
+        ``batch_service`` keeps its own policy).  ``True`` builds it with
+        ``FailoverPolicy(validate=False)``: a failing backend walks its
+        degradation chain (e.g. ``analog -> kernel-dinic -> dinic``),
+        skipping backends whose SLO error budget is exhausted, and the
+        result is marked ``degraded`` with a ``failover_trail``.  The walk
+        does not certify answers itself because the problem's own duality
+        certificate gates every answer.  Unknown backend names and
+        timeouts still fail fast, and the sharded path keeps its own
+        unsharded fallback.  ``False`` restores strict fail-fast
+        behaviour.
 
     Examples
     --------
@@ -248,7 +256,8 @@ class ProblemSolveService:
             from .batch import BatchSolveService
 
             batch_service = BatchSolveService(
-                analog_solver=AnalogMaxFlowSolver(quantize=False, adaptive_drive=True)
+                analog_solver=AnalogMaxFlowSolver(quantize=False, adaptive_drive=True),
+                failover=FailoverPolicy(validate=False) if failover else None,
             )
         if sharded_service is None:
             from .sharded import ShardedSolveService
@@ -260,7 +269,6 @@ class ProblemSolveService:
         self.retry = retry if retry is not None else RetryPolicy(
             max_attempts=2, base_delay_s=0.0
         )
-        self.failover = failover
 
     # ------------------------------------------------------------------
 
@@ -314,32 +322,91 @@ class ProblemSolveService:
         self, problem, backend, shards, tag, value_rtol, options
     ) -> ProblemSolve:
         start = time.perf_counter()
-        t0 = time.perf_counter()
         with span("problem.reduce", kind=problem.kind):
             reduction = problem.reduce()
-        reduce_time = time.perf_counter() - t0
-
+        reduce_time = time.perf_counter() - start
+        cut = None
         if shards is not None:
-            result, cut, backend_name = self._solve_sharded(
-                reduction, backend, shards, tag, options
-            )
-            flow = None
-            decode_source = "partition"
+            result, cut = self._solve_sharded(reduction, backend, shards, tag, options)
         else:
-            result, flow, cut, decode_source, backend_name = self._solve_flat(
-                reduction, backend, tag, options
+            result = self.batch.solve(
+                reduction.network, backend=backend, tag=tag, **options
             )
+        return self._finish(
+            problem, reduction, result, backend, reduce_time, start,
+            shards=shards, cut=cut, value_rtol=value_rtol,
+        )
 
+    def solve_batch(
+        self,
+        problems: Sequence[Problem],
+        backend: str = "dinic",
+        **options: Any,
+    ) -> List[ProblemSolve]:
+        """Solve many problems concurrently through the batch service.
+
+        The reductions are built up front, their networks go through
+        :meth:`~repro.service.batch.BatchSolveService.solve_batch` as one
+        batch (sharing its worker pool, compiled-circuit cache and failover
+        policy), and each answer is decoded and certified in request order
+        exactly as :meth:`solve` does.
+        """
+        reductions: List[Reduction] = []
+        reduce_times: List[float] = []
+        for problem in problems:
+            t0 = time.perf_counter()
+            reductions.append(problem.reduce())
+            reduce_times.append(time.perf_counter() - t0)
+        requests = [
+            SolveRequest(
+                network=r.network, backend=backend, options=dict(options), tag=r.kind
+            )
+            for r in reductions
+        ]
+        batch = self.batch.solve_batch(requests)
+        return [
+            self._finish(
+                problem, reduction, result, backend, reduce_time,
+                time.perf_counter() - reduce_time - result.wall_time_s,
+            )
+            for problem, reduction, result, reduce_time in zip(
+                problems, reductions, batch.results, reduce_times
+            )
+        ]
+
+    # ------------------------------------------------------------------
+    # Internal plumbing
+    # ------------------------------------------------------------------
+
+    def _finish(
+        self, problem, reduction, result, backend, reduce_time, start,
+        shards=None, cut=None, value_rtol=None,
+    ) -> ProblemSolve:
+        """Decode, certify and report one solved reduction.
+
+        ``start`` is the ``perf_counter`` instant the report's wall time
+        counts from; ``cut`` is the sharded path's stitched partition.
+        """
         if not result.ok:
             if result.error_type == SolveTimeoutError.__name__:
                 raise SolveTimeoutError(
-                    f"{problem.kind}: backend {backend_name!r} timed out: "
-                    f"{result.error}"
+                    f"{problem.kind}: backend {backend!r} timed out: {result.error}"
                 )
             raise ProblemError(
-                f"{problem.kind}: backend {backend_name!r} failed: {result.error}"
+                f"{problem.kind}: backend {backend!r} failed: {result.error}"
             )
-
+        if shards is not None:
+            backend_name = f"sharded:{backend}"
+            flow, decode_source = None, "partition"
+        else:
+            # After a failover the backend that actually ran decides the
+            # decode: exact backends hand over their flow directly.
+            backend_name = result.request.backend
+            flow, cut, decode_source = None, None, "decode-pass"
+            if self.batch.backend(backend_name).exact:
+                flow = result.detail
+                cut = min_cut_from_flow(reduction.network, flow)
+                decode_source = "backend"
         rtol = value_rtol if value_rtol is not None else self._default_rtol(
             backend_name, shards
         )
@@ -347,12 +414,11 @@ class ProblemSolveService:
         t0 = time.perf_counter()
         with span("problem.decode", kind=problem.kind):
             solution, certificate, decode_source = self._decode_certified(
-                problem, reduction, flow, cut, decode_source, result, shards
+                problem, reduction, flow, cut, decode_source
             )
         decode_time = time.perf_counter() - t0
 
         backend_objective = reduction.objective_from_flow(result.flow_value)
-        value_error = relative_error(backend_objective, solution.value)
         if shards is not None and decode_source == "partition":
             certificate.require(
                 "sharded-converged",
@@ -375,7 +441,7 @@ class ProblemSolveService:
             network_edges=reduction.num_edges,
             objective_value=solution.value,
             backend_objective=backend_objective,
-            backend_value_error=value_error,
+            backend_value_error=relative_error(backend_objective, solution.value),
             certificate_status=certificate.status,
             decode_source=decode_source,
             reduce_time_s=reduce_time,
@@ -394,143 +460,6 @@ class ProblemSolveService:
                 f"{problem.kind} via {backend_name}: {certificate.status}"
             )
         return ProblemSolve(solution=solution, result=result, report=report)
-
-    def solve_batch(
-        self,
-        problems: Sequence[Problem],
-        backend: str = "dinic",
-        **options: Any,
-    ) -> List[ProblemSolve]:
-        """Solve many problems concurrently through the batch service.
-
-        The reductions are built up front, their networks go through
-        :meth:`~repro.service.batch.BatchSolveService.solve_batch` as one
-        batch (sharing its worker pool and compiled-circuit cache), and
-        each answer is decoded and certified in request order.
-        """
-        reductions: List[Reduction] = []
-        reduce_times: List[float] = []
-        for problem in problems:
-            t0 = time.perf_counter()
-            reductions.append(problem.reduce())
-            reduce_times.append(time.perf_counter() - t0)
-        requests = [
-            SolveRequest(
-                network=r.network, backend=backend, options=dict(options), tag=r.kind
-            )
-            for r in reductions
-        ]
-        batch = self.batch.solve_batch(requests)
-        solves: List[ProblemSolve] = []
-        for problem, reduction, result, reduce_time in zip(
-            problems, reductions, batch.results, reduce_times
-        ):
-            solves.append(
-                self._finish_batch_item(
-                    problem, reduction, result, backend, reduce_time
-                )
-            )
-        return solves
-
-    # ------------------------------------------------------------------
-    # Internal plumbing
-    # ------------------------------------------------------------------
-
-    def _finish_batch_item(
-        self,
-        problem: Problem,
-        reduction: Reduction,
-        result: SolveResult,
-        backend: str,
-        reduce_time_s: float,
-    ) -> ProblemSolve:
-        """Decode + certify one pre-solved batch item (shared with solve)."""
-        start = time.perf_counter()
-        if not result.ok:
-            raise ProblemError(
-                f"{problem.kind}: backend {backend!r} failed: {result.error}"
-            )
-        flow, cut, decode_source = self._flat_decode_inputs(reduction, result, backend)
-        t0 = time.perf_counter()
-        solution, certificate, decode_source = self._decode_certified(
-            problem, reduction, flow, cut, decode_source, result, shards=None
-        )
-        decode_time = time.perf_counter() - t0
-        rtol = self._default_rtol(backend, None)
-        backend_objective = reduction.objective_from_flow(result.flow_value)
-        certificate.require(
-            "backend-value-consistent",
-            self._close(result.flow_value, solution.flow_value, rtol),
-            f"backend flow {result.flow_value} vs certified {solution.flow_value} "
-            f"(rtol {rtol})",
-        )
-        solution.certificate = certificate
-        report = ProblemReport(
-            kind=problem.kind,
-            backend=backend,
-            shards=0,
-            network_vertices=reduction.num_vertices,
-            network_edges=reduction.num_edges,
-            objective_value=solution.value,
-            backend_objective=backend_objective,
-            backend_value_error=relative_error(backend_objective, solution.value),
-            certificate_status=certificate.status,
-            decode_source=decode_source,
-            reduce_time_s=reduce_time_s,
-            solve_time_s=result.wall_time_s,
-            decode_time_s=decode_time,
-            wall_time_s=reduce_time_s + (time.perf_counter() - start),
-        )
-        if self.strict and not certificate.ok:
-            raise CertificateError(f"{problem.kind} via {backend}: {certificate.status}")
-        return ProblemSolve(solution=solution, result=result, report=report)
-
-    def _solve_flat(self, reduction, backend, tag, options):
-        """One batch-service solve plus the decode inputs it supports."""
-        request = SolveRequest(
-            network=reduction.network, backend=backend, options=dict(options), tag=tag
-        )
-        # A one-request batch (rather than BatchSolveService.solve) so the
-        # tag survives into the request the result echoes back.
-        result = self.batch.solve_batch([request]).results[0]
-        if (
-            not result.ok
-            and self.failover
-            and result.error_type != SolveTimeoutError.__name__
-            and (backend in ALGORITHMS or backend == "analog")
-        ):
-            # Known backend failed at solve time: walk its degradation
-            # chain.  Unknown names keep failing fast (a typo must not be
-            # silently "fixed" by a fallback), and an expired deadline is
-            # terminal — the budget is already gone.
-            trail = [f"{backend}: {result.error}"]
-            for name in degradation_chain(backend)[1:]:
-                fallback_request = SolveRequest(
-                    network=reduction.network,
-                    backend=name,
-                    options=dict(options),
-                    tag=tag,
-                )
-                fallback = self.batch.solve_batch([fallback_request]).results[0]
-                if fallback.ok:
-                    fallback.degraded = True
-                    fallback.failover_trail = trail + list(fallback.failover_trail)
-                    result, backend = fallback, name
-                    break
-                trail.append(f"{name}: {fallback.error}")
-                if fallback.error_type == SolveTimeoutError.__name__:
-                    result = fallback
-                    break
-        flow, cut, decode_source = self._flat_decode_inputs(reduction, result, backend)
-        return result, flow, cut, decode_source, backend
-
-    def _flat_decode_inputs(self, reduction, result, backend):
-        """Classical backends decode natively; others use the decode pass."""
-        if backend in ALGORITHMS and result.ok:
-            flow = result.detail
-            cut = min_cut_from_flow(reduction.network, flow)
-            return flow, cut, "backend"
-        return None, None, "decode-pass"
 
     def _solve_sharded(self, reduction, backend, shards, tag, options):
         """Sharded solve; the stitched partition becomes the decoder's cut."""
@@ -555,16 +484,12 @@ class ProblemSolveService:
         if not outcome.converged:
             # Without a closed duality gap the partition is only an upper
             # bound; hand the decode to the exact pass instead.
-            return sharded.result, None, f"sharded:{backend}"
-        return sharded.result, cut, f"sharded:{backend}"
+            return sharded.result, None
+        return sharded.result, cut
 
-    def _decode_certified(
-        self, problem, reduction, flow, cut, decode_source, result, shards
-    ):
+    def _decode_certified(self, problem, reduction, flow, cut, decode_source):
         """Decode + verify; retry once through the exact decode pass."""
-        if decode_source in ("backend", "partition") and (
-            flow is not None or cut is not None
-        ):
+        if flow is not None or cut is not None:
             try:
                 solution = problem.decode(reduction, flow=flow, cut=cut)
                 certificate = problem.verify(
@@ -593,7 +518,7 @@ class ProblemSolveService:
     @staticmethod
     def _default_rtol(backend_name: str, shards: Optional[int]) -> float:
         """Backend-family flow-value tolerance for the consistency check."""
-        if shards is not None or backend_name.startswith("sharded:"):
+        if shards is not None:
             return BACKEND_VALUE_RTOL["sharded"]
         return BACKEND_VALUE_RTOL.get(backend_name, _EXACT_RTOL)
 

@@ -32,10 +32,11 @@ is pinned by ``tests/test_server.py`` without sleeps:
   :class:`~repro.obs.slo.SloPolicy` verdicts the failover chain
   consults); exhausted budgets or loose deadlines take the exact
   classical default.  This is the paper's analog-vs-exact latency
-  trade-off made into a routing decision, and the deadline itself rides
-  into the solver (``deadline_s`` option → cooperative
-  :func:`~repro.resilience.policy.deadline_scope`) and into any failover
-  chain walk, which now aborts between stages once the budget is spent.
+  trade-off made into a routing decision.  The deadline counts from
+  submission: whatever the queue left of it becomes the ambient
+  :func:`~repro.resilience.policy.deadline_scope` of the solve, shared by
+  every failover stage, and the chain walk aborts between stages once it
+  is spent.
 
 Statuses follow HTTP conventions: 200 served (the result may still be a
 typed ``ok=False`` failure-free report), 500 typed solve failure, 503
@@ -55,6 +56,7 @@ from ..errors import AlgorithmError, SolveTimeoutError
 from ..graph.network import FlowNetwork
 from ..obs import probes
 from ..obs.slo import SloPolicy, get_slo_policy
+from ..resilience.policy import Deadline, deadline_scope
 from .api import SolveRequest, SolveResult
 from .batch import BatchSolveService
 from .cache import network_signature
@@ -298,7 +300,8 @@ class AsyncSolveServer:
         omitted ``backend`` engages the deadline router (see the class
         docstring); an explicit one is honoured as-is.  ``deadline_s``
         bounds the whole journey: requests still queued past it answer
-        504, and the remaining budget rides into the solver cooperatively.
+        504, and the solve gets only the budget the queue left over.
+        ``tag`` is echoed back in ``response.result.tag``.
         """
         if self._closed:
             raise AlgorithmError("server is closed")
@@ -487,8 +490,9 @@ class AsyncSolveServer:
 
     async def _run_entry(self, entry: _Pending) -> None:
         shared = entry.shared
-        shared.queued_s = self._clock() - entry.enqueued_at
-        if entry.deadline_at is not None and self._clock() >= entry.deadline_at:
+        now = self._clock()
+        shared.queued_s = now - entry.enqueued_at
+        if entry.deadline_at is not None and now >= entry.deadline_at:
             self._inflight.pop(entry.key, None)
             if not shared.future.done():
                 shared.future.set_result((
@@ -497,8 +501,12 @@ class AsyncSolveServer:
                     f"{shared.queued_s:.4g} s in queue",
                 ))
             return
+        # The solve gets what the queue left of the request's budget.
+        deadline = None if entry.deadline_at is None else Deadline(
+            entry.deadline_at - now, label="server request"
+        )
         try:
-            result = await self._invoke(entry.request)
+            result = await self._invoke(entry.request, deadline)
         except asyncio.CancelledError:
             self._inflight.pop(entry.key, None)
             if not shared.future.done():
@@ -516,22 +524,29 @@ class AsyncSolveServer:
         if not shared.future.done():
             shared.future.set_result(("result", result))
 
-    async def _invoke(self, request: SolveRequest) -> SolveResult:
+    async def _invoke(
+        self, request: SolveRequest, deadline: Optional[Deadline]
+    ) -> SolveResult:
         if self._solve_fn is not None:
             outcome = self._solve_fn(request)
             if inspect.isawaitable(outcome):
                 return await outcome
             return outcome
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self._solve_sync, request)
+        return await loop.run_in_executor(None, self._solve_sync, request, deadline)
 
-    def _solve_sync(self, request: SolveRequest) -> SolveResult:
-        # The deadline travels as the plain ``deadline_s`` option: the
-        # backend re-opens a cooperative deadline_scope in the executor
-        # thread (contextvars do not cross run_in_executor).
-        return self.service.solve(
-            request.network, backend=request.backend, **request.options
-        )
+    def _solve_sync(
+        self, request: SolveRequest, deadline: Optional[Deadline]
+    ) -> SolveResult:
+        # Context variables do not cross run_in_executor, so the remaining
+        # budget is re-opened here, on the executor thread.  It is tighter
+        # than the ``deadline_s`` option (the full submitted budget, which
+        # the solve still sees), so every failover stage shares it.
+        with deadline_scope(deadline):
+            return self.service.solve(
+                request.network, backend=request.backend, tag=request.tag,
+                **request.options,
+            )
 
     # -- introspection -------------------------------------------------
 

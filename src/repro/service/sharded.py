@@ -27,7 +27,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..errors import DecompositionError, ReproError, SolveTimeoutError
+from ..errors import (
+    BackendUnavailableError,
+    DecompositionError,
+    ReproError,
+    SolveTimeoutError,
+)
 from ..graph.network import FlowNetwork
 from ..obs.trace import span
 from ..resilience.failover import certify_flow_result
@@ -35,6 +40,7 @@ from ..resilience.policy import Deadline, RetryPolicy, deadline_scope
 from ..shard.coordinator import ShardCoordinator, ShardOutcome
 from ..shard.partition import validate_partition_args
 from .api import SolveRequest, SolveResult, relative_error
+from .batch import BatchSolveService, _default_max_workers
 
 __all__ = ["ShardReport", "ShardedSolve", "ShardedSolveService"]
 
@@ -229,6 +235,9 @@ class ShardedSolveService:
         self.executor = executor
         self.max_workers = max_workers
         self.analog_solver = analog_solver
+        # The unsharded fallback takes the batch service's one solve path,
+        # so it shares SLO skips, circuit breakers and the deadline abort.
+        self._unsharded = BatchSolveService(failover=True)
 
     # ------------------------------------------------------------------
 
@@ -286,10 +295,14 @@ class ShardedSolveService:
             Degrade to one *unsharded* cold exact solve when the sharded
             path fails (shard solves exhaust their retries, the coordinator
             errors, or the bound bracket ``dual <= feasible`` is violated).
-            The fallback result is validated against the strong-duality
-            certificate before it is accepted and is marked ``degraded``.
-            Timeouts never trigger the fallback — the expired budget is
-            shared.  ``False`` restores fail-fast behaviour.
+            The fallback is a failover-enabled
+            :meth:`~repro.service.batch.BatchSolveService.solve` on
+            ``"dinic"``, so it skips exhausted backends and degrades along
+            the same chain; its result is validated against the
+            strong-duality certificate before it is accepted and is marked
+            ``degraded``.  Timeouts never trigger the fallback — the
+            expired budget is shared.  ``False`` restores fail-fast
+            behaviour.
 
         Returns
         -------
@@ -298,7 +311,10 @@ class ShardedSolveService:
         """
         # Configuration mistakes must fail fast — never degrade to fallback.
         validate_partition_args(network, shards, partition_method, fractions)
-        backend_name = backend if isinstance(backend, str) else ",".join(backend)
+        names = [backend] if isinstance(backend, str) else list(backend)
+        for name in names:
+            self._unsharded.backend(name)  # unknown names raise AlgorithmError
+        backend_name = ",".join(names)
         request = SolveRequest(
             network=network,
             backend=f"sharded:{backend_name}",
@@ -378,38 +394,40 @@ class ShardedSolveService:
         Runs inside the caller's :func:`deadline_scope`, so a budget that
         killed the sharded path also bounds (and may kill) the fallback.
         """
-        from ..flows.kernel import resolve_default_algorithm
-        from ..flows.registry import get_algorithm
-
-        algorithm = resolve_default_algorithm("dinic")
-        with span("sharded.fallback", algorithm=algorithm):
-            flow = get_algorithm(algorithm).solve(request.network)
+        with span("sharded.fallback"):
+            unsharded = self._unsharded.solve(request.network, backend="dinic")
+            if not unsharded.ok:
+                if unsharded.error_type == SolveTimeoutError.__name__:
+                    raise SolveTimeoutError(unsharded.error)
+                raise BackendUnavailableError(
+                    f"unsharded fallback failed: {unsharded.error}"
+                )
             certify_flow_result(
-                request.network, flow.flow_value, flow.edge_flows, exact=True
+                request.network, unsharded.flow_value, unsharded.edge_flows, exact=True
             )
         wall = time.perf_counter() - start
         trail = [f"sharded:{backend_name}: {type(cause).__name__}: {cause}"]
         result = SolveResult(
             request=request,
-            flow_value=flow.flow_value,
-            edge_flows=dict(flow.edge_flows),
+            flow_value=unsharded.flow_value,
+            edge_flows=dict(unsharded.edge_flows),
             wall_time_s=wall,
             ok=True,
             degraded=True,
-            failover_trail=trail,
-            relative_error=relative_error(flow.flow_value, reference_value),
-            detail=flow,
+            failover_trail=trail + unsharded.failover_trail,
+            relative_error=relative_error(unsharded.flow_value, reference_value),
+            detail=unsharded.detail,
         )
         report = ShardReport(
             num_shards=1,
-            backend=f"fallback:{algorithm}",
+            backend=f"fallback:{unsharded.request.backend}",
             executor=self.executor,
             max_workers=1,
-            iterations=flow.iterations,
+            iterations=unsharded.detail.iterations,
             converged=True,
             disagreements=0,
-            cut_value=flow.flow_value,
-            dual_value=flow.flow_value,
+            cut_value=unsharded.flow_value,
+            dual_value=unsharded.flow_value,
             partition_summary={"fallback": trail[0]},
             wall_time_s=wall,
         )
@@ -422,8 +440,6 @@ class ShardedSolveService:
     ) -> ShardReport:
         max_workers = self.max_workers
         if max_workers is None:
-            from .batch import _default_max_workers
-
             max_workers = min(outcome.num_shards, _default_max_workers())
         return ShardReport(
             num_shards=outcome.num_shards,

@@ -47,16 +47,16 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from ..analog.solver import AnalogMaxFlowResult, AnalogMaxFlowSolver
 from ..errors import AlgorithmError, InfeasibleFlowError, ReproError, SolveTimeoutError
 from ..flows.incremental import IncrementalMaxFlow
-from ..flows.registry import ALGORITHMS
 from ..graph.network import FlowNetwork
 from ..graph.updates import MutableFlowNetwork, UpdateBatch, UpdateEvent
 from ..obs import probes
 from ..obs.telemetry import build_telemetry
 from ..obs.trace import annotate_span, current_span, span, span_scope
 from ..resilience.failover import certify_flow_result
-from ..resilience.faults import corrupt_value, fault_point
+from ..resilience.faults import fault_point
 from ..resilience.policy import Deadline, deadline_scope
 from .api import SolveRequest, SolveResult
+from .backends import AnalogBackend, create_backend
 from .cache import CompiledCircuitCache
 
 __all__ = ["StreamingDelta", "StreamingSession", "push_all"]
@@ -168,9 +168,7 @@ class StreamingSession:
         options: Optional[Dict[str, Any]] = None,
         validate: bool = False,
     ) -> None:
-        if backend != "analog" and backend not in ALGORITHMS:
-            known = ", ".join(["analog"] + sorted(ALGORITHMS))
-            raise AlgorithmError(f"unknown streaming backend {backend!r}; known: {known}")
+        engine = create_backend(backend, analog_solver=analog_solver)
         self.backend = backend
         self.cold_ratio = cold_ratio
         self.delta_tolerance = delta_tolerance
@@ -188,12 +186,13 @@ class StreamingSession:
         self._incremental: Optional[IncrementalMaxFlow] = None
         self._compiled = None
         self._analog_previous: Optional[AnalogMaxFlowResult] = None
-        if backend == "analog":
-            solver = analog_solver if analog_solver is not None else AnalogMaxFlowSolver()
+        self._analog: Optional[AnalogBackend] = None
+        if not engine.exact:
             # Always clone: the session owns a private solver instance, so
             # its persistent DC engine (cached base factorisation) is never
             # shared with other sessions pushing concurrently.
-            self.analog_solver = self._with_dedicated_clamps(solver)
+            self._analog = AnalogBackend(self._with_dedicated_clamps(engine.solver))
+            self.analog_solver = self._analog.solver
             self._last = self._analog_solve(batch=None)
         else:
             self.analog_solver = None
@@ -315,7 +314,7 @@ class StreamingSession:
             deadline, label=f"streaming push rev {batch.revision}"
         ):
             try:
-                if self.backend == "analog":
+                if self._analog is not None:
                     result, warm = self._analog_push(batch)
                 else:
                     result, warm = self._classical_push(batch)
@@ -416,21 +415,6 @@ class StreamingSession:
             dedicated_clamp_sources=True,
         )
 
-    def _analog_config_key(self) -> str:
-        solver = self.analog_solver
-        return repr(
-            (
-                solver.parameters,
-                solver.nonideal,
-                solver.quantize,
-                str(solver.style),
-                solver.prune,
-                solver.quantizer_mode,
-                solver.seed,
-                self.options.get("vflow_v"),
-            )
-        )
-
     def _analog_solve(self, batch: Optional[UpdateBatch]) -> SolveResult:
         """Solve the current revision on the analog backend (warm when possible)."""
         start = time.perf_counter()
@@ -456,13 +440,14 @@ class StreamingSession:
                 self.degraded_pushes += 1
                 structural = True
         if structural:
+            vflow_v = self.options.get("vflow_v")
             key = (
                 self._mutable.topology_signature(),
                 self._mutable.structural_revision,
-                self._analog_config_key(),
+                self._analog.config_signature(),
+                vflow_v,
                 "streaming",
             )
-            vflow_v = self.options.get("vflow_v")
             hit, compiled = self.cache.lookup(key)
             if not hit:
                 compiled = self.analog_solver.compile(network, vflow_v=vflow_v)
@@ -490,15 +475,10 @@ class StreamingSession:
             analog_solve_s=elapsed,
         )
         request = SolveRequest(
-            network=network, backend="analog", options=dict(self.options)
+            network=network, backend=self.backend, options=dict(self.options)
         )
         # The readout builds a fresh flow dict per decode; no copy needed.
-        flow_value = corrupt_value("analog-readout", "analog", analog.flow_value)
-        edge_flows = analog.edge_flows
-        if flow_value != analog.flow_value and analog.flow_value != 0.0:
-            # Injected readout corruption scales the whole decode coherently.
-            factor = flow_value / analog.flow_value
-            edge_flows = {k: f * factor for k, f in edge_flows.items()}
+        flow_value, edge_flows, _, _ = self._analog.readout(analog, warm)
         return SolveResult(
             request=request,
             flow_value=flow_value,

@@ -1,6 +1,6 @@
 """Multi-way overlapping graph partitioning for N-way dual decomposition.
 
-Generalises the two-way scheme of :mod:`repro.decomposition.partition`
+Generalises the paper's two-way overlapping split
 (Section 6.4, after Strandmark & Kahl [39]) to an arbitrary number of
 overlapping shards.  Vertices are ordered by a lightweight METIS-style
 heuristic — BFS distance from the source, or a geometric source/sink

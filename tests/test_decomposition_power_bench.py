@@ -16,37 +16,43 @@ from repro.bench import (
     relative,
 )
 from repro.bench.workloads import FIG10_VERTEX_COUNTS, Fig10Workload
-from repro.decomposition import (
-    DualDecompositionSolver,
-    partition_with_overlap,
-)
+from repro.decomposition import DualDecompositionSolver
 from repro.errors import DecompositionError, PowerBudgetError
 from repro.flows import CpuCostModel, dinic, min_cut, push_relabel
 from repro.graph import grid_graph, paper_example_graph, rmat_graph
 from repro.power import PowerModel, compare_energy
+from repro.shard import partition_multiway
 
 
 class TestPartition:
+    """The Section 6.4 two-way split, as ``partition_multiway(network, 2)``."""
+
     def test_overlap_partition_covers_graph(self):
         network = rmat_graph(30, 90, seed=3)
-        partition = partition_with_overlap(network)
-        assert partition.side_a | partition.side_b == set(network.vertices())
-        assert network.source in partition.side_a
-        assert network.sink in partition.side_b
-        description = partition.describe()
-        assert description["edges_a"] + description["edges_b"] >= network.num_edges
+        partition = partition_multiway(network, 2)
+        side_a, side_b = partition.sides
+        assert side_a | side_b == set(network.vertices())
+        core_a, core_b = partition.cores
+        assert network.source in core_a and network.source not in core_b
+        assert network.sink in core_b and network.sink not in core_a
+        edges = partition.describe()["subproblem_edges"]
+        assert sum(edges) >= network.num_edges
 
     def test_balance_validation(self):
         with pytest.raises(DecompositionError):
-            partition_with_overlap(paper_example_graph(), balance=0.01)
+            partition_multiway(paper_example_graph(), 2, fractions=[0.0, 1.0])
+        with pytest.raises(DecompositionError):
+            partition_multiway(paper_example_graph(), 2, fractions=[0.3, 0.3])
 
     def test_overlap_edges_split_in_half(self):
         network = grid_graph(2, 4, capacity=2.0)
-        partition = partition_with_overlap(network)
-        for edge in partition.subproblem_a.edges():
-            if edge.tail in partition.overlap and edge.head in partition.overlap:
-                originals = network.find_edges(edge.tail, edge.head)
-                assert edge.capacity == pytest.approx(originals[0].capacity / 2.0)
+        partition = partition_multiway(network, 2)
+        shared = [e for e in network.edges() if partition.edge_share[e.index] == 2]
+        assert shared
+        for edge in shared:
+            for sub in partition.subproblems:
+                (copy,) = sub.find_edges(edge.tail, edge.head)
+                assert copy.capacity == pytest.approx(edge.capacity / 2.0)
 
 
 class TestDualDecomposition:

@@ -59,6 +59,54 @@ class TestConstruction:
             paper_example_graph().out_edges("nope")
 
 
+NAN = float("nan")
+
+
+def _one_edge() -> FlowNetwork:
+    network = FlowNetwork()
+    network.add_edge("s", "t", 2.0)
+    return network
+
+
+class TestNanCapacityRejected:
+    """NaN slips past ``capacity < 0``; every entry point must refuse it."""
+
+    def test_edge_constructor(self):
+        from repro.graph.network import Edge
+
+        with pytest.raises(InvalidGraphError):
+            Edge(0, "s", "t", NAN)
+
+    def test_add_edge_adds_no_vertex(self):
+        network = FlowNetwork()
+        with pytest.raises(InvalidGraphError):
+            network.add_edge("a", "b", NAN)
+        assert not network.has_vertex("a") and not network.has_vertex("b")
+        assert network.num_edges == 0
+
+    def test_set_capacity(self):
+        network = _one_edge()
+        with pytest.raises(InvalidGraphError):
+            network.set_capacity(0, NAN)
+        assert network.edge(0).capacity == 2.0
+
+    def test_streaming_insert(self):
+        from repro.graph.updates import EdgeInsert, MutableFlowNetwork
+
+        dyn = MutableFlowNetwork(_one_edge())
+        with pytest.raises(InvalidGraphError):
+            dyn.apply([EdgeInsert("s", "t", NAN)])
+        assert dyn.revision == 0 and dyn.network.num_edges == 1
+
+    def test_streaming_update(self):
+        from repro.graph.updates import CapacityUpdate, MutableFlowNetwork
+
+        dyn = MutableFlowNetwork(_one_edge())
+        with pytest.raises(InvalidGraphError):
+            dyn.apply([CapacityUpdate(0, NAN)])
+        assert dyn.revision == 0 and dyn.network.edge(0).capacity == 2.0
+
+
 class TestQueries:
     def test_paper_example_shape(self):
         g = paper_example_graph()

@@ -169,6 +169,13 @@ class TestBatch:
         for solved, reference in zip(solves, references):
             assert solved.value == pytest.approx(reference, abs=1e-9)
 
+    def test_batch_item_wall_time_covers_every_stage(self, service):
+        problem = ProjectSelection({0: 2.0, 1: -1.0, 2: 1.5}, [(0, 1), (2, 1)])
+        (solved,) = service.solve_batch([problem], backend="dinic")
+        report = solved.report
+        stages = report.reduce_time_s + report.solve_time_s + report.decode_time_s
+        assert report.wall_time_s >= stages
+
     def test_batch_shares_the_injected_service(self):
         batch = BatchSolveService(max_workers=2, executor="serial")
         service = ProblemSolveService(batch_service=batch)

@@ -19,6 +19,7 @@ import pytest
 
 from repro import FlowNetwork, grid_graph
 from repro.errors import (
+    AlgorithmError,
     CertificateError,
     ConfigurationError,
     InfeasibleFlowError,
@@ -27,6 +28,8 @@ from repro.errors import (
 )
 from repro.flows.dinic import Dinic
 from repro.graph.updates import CapacityUpdate
+from repro.obs import SloObjective, SloPolicy, get_registry, set_slo_policy
+from repro.resilience.failover import certify_flow_result
 from repro.resilience.faults import (
     FaultInjector,
     FaultPlan,
@@ -38,6 +41,8 @@ from repro.service import BatchSolveService, SolveRequest
 from repro.service.problems import ProblemSolveService
 from repro.service.sharded import ShardedSolveService
 from repro.service.streaming import StreamingSession
+
+from test_obs_slo import obs_slo, stepped_clock  # noqa: F401 - shared fixture
 
 RAISING_KINDS = ["convergence", "singular", "error"]
 EXACT = 1e-9
@@ -390,6 +395,110 @@ class TestProblemsMatrix:
         with inject_faults("kind=convergence,site=batch-solve,backend=dinic,times=0"):
             with pytest.raises(ReproError):
                 service.solve(_matching_problem(), backend="dinic")
+
+
+# ---------------------------------------------------------------------------
+# Entry-point parity: every service degrades through the same chain walk
+# ---------------------------------------------------------------------------
+
+
+def _via_batch_solve(network, backend, plans):
+    service = BatchSolveService(executor="serial", failover=True)
+    with inject_faults(*plans):
+        result = service.solve(network, backend=backend)
+    return result, result.flow_value
+
+
+def _via_batch_solve_batch(network, backend, plans):
+    service = BatchSolveService(executor="serial", failover=True)
+    with inject_faults(*plans):
+        report = service.solve_batch([SolveRequest(network=network, backend=backend)])
+    result = report.results[0]
+    return result, result.flow_value
+
+
+def _via_problems_solve(network, backend, plans):
+    with inject_faults(*plans):
+        solved = ProblemSolveService().solve(_matching_problem(), backend=backend)
+    assert solved.certified
+    return solved.result, solved.value
+
+
+def _via_problems_solve_batch(network, backend, plans):
+    with inject_faults(*plans):
+        (solved,) = ProblemSolveService().solve_batch(
+            [_matching_problem()], backend=backend
+        )
+    assert solved.certified
+    return solved.result, solved.value
+
+
+def _via_sharded_fallback(network, backend, plans):
+    # Every shard solve fails, so the answer comes from the unsharded
+    # fallback, which always starts its chain at "dinic".
+    broken_shards = FaultPlan(kind="error", site="shard-solve", times=0)
+    service = ShardedSolveService(executor="serial")
+    with inject_faults(broken_shards, *plans):
+        sharded = service.solve(network, shards=2, backend=backend)
+    assert sharded.report.num_shards == 1
+    return sharded.result, sharded.result.flow_value
+
+
+ENTRY_POINTS = {
+    "batch.solve": _via_batch_solve,
+    "batch.solve_batch": _via_batch_solve_batch,
+    "problems.solve": _via_problems_solve,
+    "problems.solve_batch": _via_problems_solve_batch,
+    "sharded.fallback": _via_sharded_fallback,
+}
+
+
+def _expected_value(entry, network):
+    if entry.startswith("problems."):
+        return 3.0  # the matching problem's maximum matching
+    return Dinic().solve(network).flow_value
+
+
+@pytest.fixture()
+def exhausted_dinic(obs_slo):
+    """A process-global SLO policy whose "dinic" error budget is spent."""
+    clock, advance = stepped_clock()
+    policy = SloPolicy(
+        objective=SloObjective(availability=0.95), clock=clock, min_requests=5
+    )
+    policy.observe()
+    get_registry().counter("service.solve_errors", 20, backend="dinic", error_type="e")
+    advance(60.0)
+    assert policy.should_skip("dinic")
+    set_slo_policy(policy)
+    return policy
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+class TestEntryPointParity:
+    def test_exhausted_backend_is_skipped(self, entry, network, exhausted_dinic):
+        result, value = ENTRY_POINTS[entry](network, "dinic", [])
+        assert result.ok and result.degraded
+        assert any(
+            step.startswith("dinic: error budget exhausted")
+            for step in result.failover_trail
+        ), result.failover_trail
+        assert value == pytest.approx(_expected_value(entry, network), abs=EXACT)
+
+    @pytest.mark.parametrize("kind", RAISING_KINDS)
+    def test_raising_primary_degrades_to_certified_answer(self, entry, network, kind):
+        fault = FaultPlan(kind=kind, site="batch-solve", backend="dinic", times=0)
+        result, value = ENTRY_POINTS[entry](network, "dinic", [fault])
+        assert result.ok and result.degraded
+        assert value == pytest.approx(_expected_value(entry, network), abs=EXACT)
+        if result.edge_flows:
+            certify_flow_result(
+                result.request.network, result.flow_value, result.edge_flows
+            )
+
+    def test_unknown_backend_raises_instead_of_dinic(self, entry, network):
+        with pytest.raises(AlgorithmError):
+            ENTRY_POINTS[entry](network, "dinc", [])
 
 
 # ---------------------------------------------------------------------------

@@ -477,3 +477,33 @@ class TestLifecycle:
             response = await server.submit(g, backend="dinic", deadline_s=30.0)
         assert response.status == 200
         assert response.result.flow_value == pytest.approx(5.0)
+
+
+class TestRealServicePath:
+    """The default service behind the executor hop, not an injected fake."""
+
+    async def test_deadline_counts_queue_time(self, obs_server):
+        from repro.resilience import inject_faults
+
+        stall = "kind=stall,backend=dinic,site=batch-solve,stall_s=0.35,times=0"
+        with inject_faults(stall):
+            async with AsyncSolveServer(workers=1) as server:
+                first = asyncio.ensure_future(server.submit(
+                    distinct_network(0), backend="dinic", deadline_s=5.0
+                ))
+                second = asyncio.ensure_future(server.submit(
+                    distinct_network(1), backend="dinic", deadline_s=0.5
+                ))
+                slow, late = await asyncio.gather(first, second)
+        assert slow.status == 200
+        # ~0.35 s in the queue leaves ~0.15 s: too little for a 0.35 s solve.
+        assert late.queued_s > 0.2
+        assert late.status == 504, late.detail
+
+    async def test_request_tag_is_echoed(self, obs_server):
+        async with AsyncSolveServer(workers=1) as server:
+            response = await server.submit(
+                tiny_network(), backend="dinic", tag="req-7"
+            )
+        assert response.status == 200
+        assert response.result.tag == "req-7"
